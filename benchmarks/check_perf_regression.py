@@ -23,11 +23,18 @@ so the campaign layer's bookkeeping on-cost must stay under
 ``--campaign-tolerance`` (default 10%).  The pair is soft-skipped when
 either scenario is absent (partial bench runs).
 
-A second within-run gate holds the vector engine to its reason for
-existing: ``loaded_ring_n8_vector`` must beat ``loaded_ring_n8`` (the
-pure-Python oracle on the identical scenario) by at least
-``--vector-min-speedup`` (default 10x).  Again a same-file ratio, so
-runner speed cancels; soft-skipped when either scenario is absent.
+Further within-run gates hold the vector engine to its reason for
+existing, one row of :data:`SPEEDUP_GATES` each:
+
+* ``loaded_ring_n8_vector`` must beat ``loaded_ring_n8`` (the
+  pure-Python oracle on the identical scenario) by at least
+  ``--vector-min-speedup`` (default 10x);
+* ``loaded_ring_n8_vector_events`` must beat ``loaded_ring_n8_events``
+  (the oracle streaming the same JSONL event log) by at least 5x, so an
+  observed vector run stays on the compiled tier.
+
+Again same-file ratios, so runner speed cancels; each row soft-skips
+when either of its scenarios is absent.
 """
 
 from __future__ import annotations
@@ -90,6 +97,14 @@ def campaign_overhead(
     if base <= 0:
         return None
     return 1.0 - with_executor / base
+
+
+#: Within-run speedup gates: (oracle scenario, vector scenario, minimum
+#: speedup).  A ``None`` minimum means "use ``--vector-min-speedup``".
+SPEEDUP_GATES: tuple[tuple[str, str, float | None], ...] = (
+    ("loaded_ring_n8", "loaded_ring_n8_vector", None),
+    ("loaded_ring_n8_events", "loaded_ring_n8_vector_events", 5.0),
+)
 
 
 def vector_speedup(
@@ -170,15 +185,18 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"  ok   {line}")
 
-    speedup = vector_speedup(current)
-    if speedup is None:
-        print("vector speedup pair not recorded; skipping that gate")
-    else:
+    for oracle, vector, minimum in SPEEDUP_GATES:
+        if minimum is None:
+            minimum = args.vector_min_speedup
+        speedup = vector_speedup(current, oracle, vector)
+        if speedup is None:
+            print(f"speedup pair {vector}/{oracle} not recorded; skipping")
+            continue
         line = (
-            f"vector engine speedup vs oracle (loaded_ring_n8): "
-            f"{speedup:.1f}x (gate >= {args.vector_min_speedup:.0f}x)"
+            f"{vector} speedup vs {oracle}: "
+            f"{speedup:.1f}x (gate >= {minimum:.0f}x)"
         )
-        if speedup < args.vector_min_speedup:
+        if speedup < minimum:
             print(f"  FAIL {line}")
             regressions.append(line)
         else:

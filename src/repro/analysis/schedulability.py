@@ -112,6 +112,14 @@ def hyperperiod(connections: Iterable[LogicalRealTimeConnection]) -> int:
     return h
 
 
+def _relative_deadline(
+    c: LogicalRealTimeConnection, deadlines: dict[int, int] | None
+) -> int:
+    """``c``'s relative deadline, unless ``deadlines`` overrides it."""
+    own = c.relative_deadline_slots
+    return own if deadlines is None else deadlines.get(c.connection_id, own)
+
+
 def demand_bound_function(
     connections: Iterable[LogicalRealTimeConnection],
     interval_slots: int,
@@ -121,20 +129,19 @@ def demand_bound_function(
     ``interval_slots`` slots.
 
     For connection ``i`` with period ``P_i``, size ``e_i`` and relative
-    deadline ``D_i`` (default ``P_i``):
+    deadline ``D_i`` (the connection's ``relative_deadline_slots``:
+    ``deadline_slots`` when set, else ``P_i``):
 
         dbf(t) = sum_i max(0, floor((t - D_i) / P_i) + 1) * e_i
 
     ``deadlines`` optionally overrides relative deadlines per connection
-    id (constrained-deadline extension).
+    id.
     """
     if interval_slots < 0:
         raise ValueError(f"interval must be non-negative, got {interval_slots}")
     demand = 0
     for c in connections:
-        d = c.period_slots if deadlines is None else deadlines.get(
-            c.connection_id, c.period_slots
-        )
+        d = _relative_deadline(c, deadlines)
         if d < c.size_slots:
             raise ValueError(
                 f"connection {c.connection_id}: deadline {d} shorter than "
@@ -173,9 +180,7 @@ def processor_demand_test(
     # Check points: all absolute deadlines within one hyperperiod.
     checkpoints: set[int] = set()
     for c in connections:
-        d = c.period_slots if deadlines is None else deadlines.get(
-            c.connection_id, c.period_slots
-        )
+        d = _relative_deadline(c, deadlines)
         t = d
         while t <= h:
             checkpoints.add(t)

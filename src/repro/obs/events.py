@@ -50,7 +50,13 @@ disk, not memory) and :class:`BoundedEventRing` keeps the last ``N``
 events in memory.  :class:`EventDispatcher` fans one emission out to all
 sinks and to any subscribed :class:`~repro.sim.trace.SlotTrace`.
 
-This module deliberately imports nothing from the rest of the package:
+The compiled slot kernel cannot build event objects; it hands its
+stream over as flat ``int64`` records (layout in
+:mod:`repro.obs.records`) through :meth:`EventDispatcher.dispatch_records`.
+:class:`JsonlEventLog` formats lines straight from the records, every
+other sink receives the decoded typed events.
+
+This module deliberately imports nothing from outside :mod:`repro.obs`:
 events carry plain ints/floats/tuples, so the observability layer can
 never perturb -- or depend on -- simulation state.
 """
@@ -58,9 +64,12 @@ never perturb -- or depend on -- simulation state.
 from __future__ import annotations
 
 import json
+import struct
 from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from repro.obs.records import EVENT_RECORDS
 
 
 class _Event:
@@ -118,6 +127,72 @@ def _frepr(value: float) -> str:
     return cached
 
 
+def slot_line(
+    slot: int,
+    master: int,
+    gap_s: float,
+    transmitted,
+    n_requests: int,
+    released: int,
+    delivered: int,
+    missed: int,
+    dropped: int,
+) -> str:
+    """The ``kind="slot"`` JSON line from plain values.
+
+    ``transmitted`` is a sequence of ``(node, message id)`` pairs.  Zero
+    counters and an empty transmission list are omitted (replay reads
+    them back with ``.get(..., 0)``), keeping logs of mostly idle slots
+    small; straight string concatenation beats a parts list + join here.
+    """
+    out = f'{{"kind":"slot","slot":{slot},"master":{master}'
+    if gap_s:
+        out += ',"gap_s":' + _frepr(gap_s)
+    if transmitted:
+        txs = ",".join([f"[{n},{m}]" for n, m in transmitted])
+        out += f',"transmitted":[{txs}]'
+    if n_requests:
+        out += f',"n_requests":{n_requests}'
+    if released:
+        out += f',"released":{released}'
+    if delivered:
+        out += f',"delivered":{delivered}'
+    if missed:
+        out += f',"missed":{missed}'
+    if dropped:
+        out += f',"dropped":{dropped}'
+    return out + "}"
+
+
+def handover_line(
+    slot: int, from_node: int, to_node: int, hops: int, gap_s: float
+) -> str:
+    """The ``kind="handover"`` JSON line from plain values."""
+    return (
+        f'{{"kind":"handover","slot":{slot}'
+        f',"from_node":{from_node},"to_node":{to_node}'
+        f',"hops":{hops},"gap_s":'
+    ) + _frepr(gap_s) + "}"
+
+
+def fast_forward_line(
+    slot_start: int, slot_end: int, n_slots: int, master: int
+) -> str:
+    """The ``kind="fast_forward"`` JSON line from plain values."""
+    return (
+        f'{{"kind":"fast_forward","slot_start":{slot_start}'
+        f',"slot_end":{slot_end},"n_slots":{n_slots},"master":{master}}}'
+    )
+
+
+def arbitration_line(slot: int, nodes) -> str:
+    """The ``kind="arbitration"`` JSON line from plain values."""
+    return (
+        f'{{"kind":"arbitration","slot":{slot}'
+        f',"nodes":[{",".join(map(str, nodes))}]}}'
+    )
+
+
 @dataclass(slots=True)
 class SlotExecuted(_Event):
     """One executed slot.
@@ -146,31 +221,19 @@ class SlotExecuted(_Event):
     kind = "slot"
 
     def to_json(self) -> str:
-        """Hand-rolled JSON line: this is the only per-slot hot event.
-
-        Zero-valued counters and empty transmission lists are omitted
-        (replay reads them back with ``.get(..., 0)``), keeping logs of
-        mostly idle slots small and emission cheap.  Straight string
-        concatenation beats a parts list + join here, and the gap repr
-        comes from the :func:`_frepr` cache.
-        """
-        out = f'{{"kind":"slot","slot":{self.slot},"master":{self.master}'
-        if self.gap_s:
-            out += ',"gap_s":' + _frepr(self.gap_s)
-        if self.transmitted:
-            txs = ",".join(f"[{n},{m}]" for n, m in self.transmitted)
-            out += f',"transmitted":[{txs}]'
-        if self.n_requests:
-            out += f',"n_requests":{self.n_requests}'
-        if self.released:
-            out += f',"released":{self.released}'
-        if self.delivered:
-            out += f',"delivered":{self.delivered}'
-        if self.missed:
-            out += f',"missed":{self.missed}'
-        if self.dropped:
-            out += f',"dropped":{self.dropped}'
-        return out + "}"
+        """Hand-rolled JSON line (:func:`slot_line`): this is the only
+        per-slot hot event."""
+        return slot_line(
+            self.slot,
+            self.master,
+            self.gap_s,
+            self.transmitted,
+            self.n_requests,
+            self.released,
+            self.delivered,
+            self.missed,
+            self.dropped,
+        )
 
 
 @dataclass(slots=True)
@@ -189,11 +252,9 @@ class HandoverOccurred(_Event):
     kind = "handover"
 
     def to_json(self) -> str:
-        return (
-            f'{{"kind":"handover","slot":{self.slot}'
-            f',"from_node":{self.from_node},"to_node":{self.to_node}'
-            f',"hops":{self.hops},"gap_s":'
-        ) + _frepr(self.gap_s) + "}"
+        return handover_line(
+            self.slot, self.from_node, self.to_node, self.hops, self.gap_s
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,6 +268,11 @@ class FastForwardSpan(_Event):
     master: int
 
     kind = "fast_forward"
+
+    def to_json(self) -> str:
+        return fast_forward_line(
+            self.slot_start, self.slot_end, self.n_slots, self.master
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,10 +349,7 @@ class ArbitrationDenied(_Event):
 
     def to_json(self) -> str:
         """Hand-rolled: denials are per-slot events under contention."""
-        nodes = ",".join(map(str, self.nodes))
-        return (
-            f'{{"kind":"arbitration","slot":{self.slot},"nodes":[{nodes}]}}'
-        )
+        return arbitration_line(self.slot, self.nodes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,6 +453,170 @@ class ServiceBackpressureApplied(_Event):
 
 
 # ----------------------------------------------------------------------
+# Compiled-kernel event records
+# ----------------------------------------------------------------------
+
+# A kernel run repeats a handful of gap values, so the bits -> float
+# conversion is memoised like ``_frepr`` (and bounded the same way).
+_gap_floats: dict[int, float] = {}
+_GAP_BITS = struct.Struct("<q")
+_GAP_FLOAT = struct.Struct("<d")
+
+
+def _gap(bits: int) -> float:
+    """The hand-over gap whose IEEE-754 bit pattern is ``bits``."""
+    cached = _gap_floats.get(bits)
+    if cached is None:
+        if len(_gap_floats) > 1024:
+            _gap_floats.clear()
+        cached = _gap_floats[bits] = _GAP_FLOAT.unpack(
+            _GAP_BITS.pack(bits)
+        )[0]
+    return cached
+
+
+_R = EVENT_RECORDS
+_SLOT, _HANDOVER, _ARBITRATION = (
+    _R.types[name] for name in ("slot", "handover", "arbitration")
+)
+_SLOT_WORDS = _R.words("slot")
+_HANDOVER_WORDS = _R.words("handover")
+#: Per type code: (fixed words, words per tail item).
+_WIDTHS = {
+    code: (_R.words(name), _R.tail_words(name))
+    for name, code in _R.types.items()
+}
+_slot_fields = _R.getter(
+    "slot", "slot", "master", "gap_bits", "n_requests", "released",
+    "delivered", "missed", "dropped", "n_tx",
+)
+_slot_tail = (
+    _R.tail_offset("slot", "node"),
+    _R.tail_offset("slot", "msg_id"),
+    _R.tail_words("slot"),
+)
+_handover_fields = _R.getter(
+    "handover", "slot", "from_node", "to_node", "hops", "gap_bits"
+)
+_arbitration_fields = _R.getter("arbitration", "slot")
+_arbitration_tail = (
+    _R.tail_offset("arbitration", "node"),
+    _R.tail_words("arbitration"),
+)
+_fast_forward_fields = _R.getter(
+    "fast_forward", "slot_start", "slot_end", "n_slots", "master"
+)
+del _R
+
+
+def _split(words: list[int], i: int) -> tuple[list[int], list[int], int]:
+    """(fixed words, tail words, next index) of the record at ``i``; the
+    tail count is the record's last fixed field."""
+    fixed, per_item = _WIDTHS[words[i]]
+    j = i + fixed
+    rec = words[i:j]
+    k = j + rec[-1] * per_item if per_item else j
+    return rec, words[j:k], k
+
+
+def _slot_pairs(tail: list[int]) -> list[tuple[int, int]]:
+    node, msg_id, width = _slot_tail
+    return list(zip(tail[node::width], tail[msg_id::width]))
+
+
+def _arbitration_nodes(tail: list[int]) -> list[int]:
+    node, width = _arbitration_tail
+    return tail[node::width]
+
+
+def decode_records(words: list[int]) -> list[_Event]:
+    """The typed events encoded by a run of kernel records."""
+    events: list[_Event] = []
+    append = events.append
+    i = 0
+    while i < len(words):
+        code = words[i]
+        rec, tail, i = _split(words, i)
+        if code == _SLOT:
+            slot, master, bits, n_req, rel, dlv, mis, drp, _ = (
+                _slot_fields(rec)
+            )
+            append(SlotExecuted(
+                slot, master, _gap(bits), tuple(_slot_pairs(tail)), n_req,
+                rel, dlv, mis, drp,
+            ))
+        elif code == _HANDOVER:
+            slot, from_node, to_node, hops, bits = _handover_fields(rec)
+            append(HandoverOccurred(
+                slot, from_node, to_node, hops, _gap(bits)
+            ))
+        elif code == _ARBITRATION:
+            append(ArbitrationDenied(
+                _arbitration_fields(rec), tuple(_arbitration_nodes(tail))
+            ))
+        else:
+            append(FastForwardSpan(*_fast_forward_fields(rec)))
+    return events
+
+
+def record_lines(words: list[int]) -> list[str]:
+    """The JSONL lines of a run of kernel records (``to_json`` of each
+    decoded event, without building the events).
+
+    The per-slot records (slot, hand-over) are formatted inline -- this
+    loop is most of the cost of an observed compiled run.
+    """
+    lines: list[str] = []
+    append = lines.append
+    gaps = _gap_floats
+    node, msg_id, width = _slot_tail
+    i = 0
+    n = len(words)
+    while i < n:
+        code = words[i]
+        if code == _SLOT:
+            j = i + _SLOT_WORDS
+            slot, master, bits, n_req, rel, dlv, mis, drp, n_tx = (
+                _slot_fields(words[i:j])
+            )
+            gap = gaps.get(bits) if bits else 0.0
+            if gap is None:
+                gap = _gap(bits)
+            if n_tx == 1:
+                i = j + width
+                pairs = [(words[j + node], words[j + msg_id])]
+            elif n_tx:
+                i = j + n_tx * width
+                tail = words[j:i]
+                pairs = list(zip(tail[node::width], tail[msg_id::width]))
+            else:
+                i = j
+                pairs = []
+            append(slot_line(
+                slot, master, gap, pairs, n_req, rel, dlv, mis, drp
+            ))
+        elif code == _HANDOVER:
+            j = i + _HANDOVER_WORDS
+            slot, from_node, to_node, hops, bits = _handover_fields(
+                words[i:j]
+            )
+            i = j
+            gap = gaps.get(bits)
+            if gap is None:
+                gap = _gap(bits)
+            append(handover_line(slot, from_node, to_node, hops, gap))
+        else:
+            rec, tail, i = _split(words, i)
+            if code == _ARBITRATION:
+                append(arbitration_line(
+                    _arbitration_fields(rec), _arbitration_nodes(tail)
+                ))
+            else:
+                append(fast_forward_line(*_fast_forward_fields(rec)))
+    return lines
+
+
+# ----------------------------------------------------------------------
 # Sinks
 # ----------------------------------------------------------------------
 
@@ -437,6 +664,17 @@ class EventSink:
                 dropped=dropped,
             )
         )
+
+    def emit_records(self, words: list[int]) -> None:
+        """Consume a run of compiled-kernel event records.
+
+        The default decodes them into typed events for :meth:`emit`;
+        :class:`JsonlEventLog` overrides it to format lines straight
+        from the records.
+        """
+        emit = self.emit
+        for event in decode_records(words):
+            emit(event)
 
     def close(self) -> None:
         """Flush and release resources (idempotent)."""
@@ -496,32 +734,30 @@ class JsonlEventLog(EventSink):
 
     @staticmethod
     def _slot_line(entry: tuple) -> str:
-        """One buffered slot tuple as the ``kind="slot"`` JSON line
-        (same format as :meth:`SlotExecuted.to_json`)."""
+        """One buffered slot tuple as the ``kind="slot"`` JSON line."""
         outcome, n_requests, released, delivered, missed, dropped = entry
-        out = (
-            f'{{"kind":"slot","slot":{outcome.slot}'
-            f',"master":{outcome.master}'
+        txs = outcome.transmitted
+        return slot_line(
+            outcome.slot,
+            outcome.master,
+            outcome.gap_s,
+            [(tx.node, tx.message.msg_id) for tx in txs] if txs else (),
+            n_requests,
+            released,
+            delivered,
+            missed,
+            dropped,
         )
-        if outcome.gap_s:
-            out += ',"gap_s":' + _frepr(outcome.gap_s)
-        if outcome.transmitted:
-            txs = ",".join(
-                f"[{tx.node},{tx.message.msg_id}]"
-                for tx in outcome.transmitted
-            )
-            out += f',"transmitted":[{txs}]'
-        if n_requests:
-            out += f',"n_requests":{n_requests}'
-        if released:
-            out += f',"released":{released}'
-        if delivered:
-            out += f',"delivered":{delivered}'
-        if missed:
-            out += f',"missed":{missed}'
-        if dropped:
-            out += f',"dropped":{dropped}'
-        return out + "}"
+
+    def emit_records(self, words: list[int]) -> None:
+        """Write a run of kernel records as lines, after anything still
+        buffered; no event objects are built."""
+        self.flush()
+        lines = record_lines(words)
+        if lines:
+            self.events_written += len(lines)
+            self._fh.write("\n".join(lines) + "\n")
+            self._fh.flush()
 
     def flush(self) -> None:
         """Serialise and write any buffered events through to the OS."""
@@ -654,6 +890,16 @@ class EventDispatcher:
             sink.emit_slot(
                 outcome, n_requests, released, delivered, missed, dropped
             )
+
+    def dispatch_records(self, words: list[int]) -> None:
+        """Deliver a run of compiled-kernel event records to every sink.
+
+        Records carry no per-slot plan objects, so only sinks can take
+        them; the vector engine keeps trace-subscribed runs off the
+        compiled kernel.
+        """
+        for sink in self._sinks:
+            sink.emit_records(words)
 
     def close(self) -> None:
         """Close every sink (idempotent)."""

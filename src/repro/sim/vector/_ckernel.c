@@ -3,13 +3,14 @@
  * Compiled lazily by repro.sim.vector.ckernel and loaded via ctypes.
  * Executes the per-slot pipeline of repro.sim.engine.Simulation for the
  * strict configuration subset the glue admits (periodic RT-connection
- * traffic only, logarithmic/linear laxity mapping, no observer, no
- * profiler, no drop-late, no faults) and is bit-identical to the oracle
- * for it: the float accumulators advance by the same IEEE-754 double
- * additions in the same order (no reassociation -- never build with
- * -ffast-math), the priority buckets use the same libm log2 the
- * interpreter calls, and grants sweep (priority desc, node asc) with
- * the oracle's break-slot denial and spatial-reuse overlap rules.
+ * traffic only, logarithmic/linear laxity mapping, no drop-late, no
+ * faults, no slot traces) and is bit-identical to the oracle for it:
+ * the float accumulators advance by the same IEEE-754 double additions
+ * in the same order (no reassociation -- never build with -ffast-math),
+ * the priority buckets use the same libm log2 the interpreter calls,
+ * grants sweep (priority desc, node asc) with the oracle's break-slot
+ * denial and spatial-reuse overlap rules, and idle spans fast-forward
+ * exactly where the oracle's run() would.
  *
  * All protocol state lives in flat arrays handed in by the glue: a
  * message table (pre-existing live messages first, rows for scheduled
@@ -17,11 +18,33 @@
  * precomputed release schedule sorted (slot, source index) -- the
  * oracle's source polling order.  The glue folds the outputs (delivery
  * log, accounting, final plan) back into the Python object graph.
+ *
+ * Observed runs pass a bounded int64 record buffer: each slot appends
+ * the oracle's event stream for it (denial for the next slot, hand-over,
+ * slot; or one span record per fast-forwarded idle span) as fixed-layout
+ * records, and a full buffer is handed to the drain callback before the
+ * loop continues in the same call.  The record layout is not written
+ * here: the REC_* macros are defined on the compiler command line from
+ * repro.obs.records.EVENT_RECORDS, the table the Python decoder reads.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
+
+#ifndef REC_SLOT_WORDS
+#error "record layout missing: build through repro.sim.vector.ckernel"
+#endif
+
+/* Drain callback: consume rec[0, n_words); nonzero aborts the run. */
+typedef int64_t (*drain_fn)(int64_t n_words);
+
+static inline int64_t double_bits(double value) {
+    int64_t bits;
+    memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
 
 /* Message status codes (mirror repro.core.messages.MessageStatus). */
 #define ST_PENDING 0
@@ -97,6 +120,8 @@ static void heap_pop(Ent *heap, int64_t *size) {
 #define IA_NTOUCH 8
 #define IA_NTX 9
 #define IA_NDEN 10
+#define IA_FF 11
+#define IA_FF_OPEN 12
 
 int64_t repro_run_ckernel(
     int64_t n, int64_t start_slot, int64_t n_slots, double slot_length,
@@ -120,6 +145,12 @@ int64_t repro_run_ckernel(
     int64_t prev_master,
     /* per-node heap capacities */
     const int64_t *heap_cap,
+    /* idle-span fast-forward (the engine's run() semantics); ff_open is
+     * the first slot of a span the previous window ended inside (-1:
+     * none), final whether this window ends the engine's run() */
+    int64_t ff_enabled, int64_t ff_open, int64_t final,
+    /* event records: NULL rec when unobserved */
+    int64_t *rec, int64_t rec_cap, drain_fn drain,
     /* outputs */
     double *facc /* wall, slot_t, gap_t (in/out) */, int64_t *iacc,
     int64_t *master_count, int64_t *hop_count, int64_t *del_rows,
@@ -128,7 +159,15 @@ int64_t repro_run_ckernel(
     if (n <= 0 || n > 62) {
         return -1;
     }
-    int64_t n_rows = n_pre + n_rel;
+    /* Worst case one slot appends: denial + hand-over + slot records. */
+    int64_t rec_slot_max = REC_ARBITRATION_WORDS + n * REC_ARBITRATION_TAIL +
+                           REC_HANDOVER_WORDS + REC_SLOT_WORDS +
+                           n * REC_SLOT_TAIL;
+    if (rec != NULL && (drain == NULL || rec_cap < rec_slot_max ||
+                        rec_cap < REC_FAST_FORWARD_WORDS)) {
+        return -5;
+    }
+    int64_t rc = 0;
 
     /* Per-node heap arena. */
     int64_t total_cap = 0;
@@ -137,25 +176,21 @@ int64_t repro_run_ckernel(
     }
     Ent *arena = (Ent *)malloc((size_t)(total_cap > 0 ? total_cap : 1) *
                                sizeof(Ent));
-    int64_t *hoff = (int64_t *)malloc((size_t)n * 4 * sizeof(int64_t));
-    /* Scratch: hoff | hsz | head_row | order */
-    if (arena == NULL || hoff == NULL) {
-        free(arena);
-        free(hoff);
-        return -2;
+    /* Scratch: hoff | hsz | head_row | order | eff_rows */
+    int64_t *hoff = (int64_t *)malloc((size_t)n * 5 * sizeof(int64_t));
+    uint64_t *okey = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
+    /* Plan rows: cur_tx | cur_den | nxt_tx | nxt_den (swapped per slot,
+     * so the allocation base is kept apart). */
+    int64_t *plan_rows = (int64_t *)malloc((size_t)n * 4 * sizeof(int64_t));
+    if (arena == NULL || hoff == NULL || okey == NULL || plan_rows == NULL) {
+        rc = -2;
+        goto done;
     }
     int64_t *hsz = hoff + n;
     int64_t *head_row = hsz + n;
     int64_t *order = head_row + n;
-    uint64_t *okey = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    int64_t *cur_tx = (int64_t *)malloc((size_t)n * 4 * sizeof(int64_t));
-    if (okey == NULL || cur_tx == NULL) {
-        free(arena);
-        free(hoff);
-        free(okey);
-        free(cur_tx);
-        return -2;
-    }
+    int64_t *eff_rows = order + n;
+    int64_t *cur_tx = plan_rows;
     int64_t *cur_den = cur_tx + n;
     int64_t *nxt_tx = cur_den + n;
     int64_t *nxt_den = nxt_tx + n;
@@ -172,11 +207,8 @@ int64_t repro_run_ckernel(
         int64_t node = m_node[row];
         Ent e = {m_deadline[row], m_id[row], row};
         if (hsz[node] >= heap_cap[node]) {
-            free(arena);
-            free(hoff);
-            free(okey);
-            free(cur_tx);
-            return -3;
+            rc = -3;
+            goto done;
         }
         heap_push(arena + hoff[node], &hsz[node], e);
     }
@@ -192,12 +224,65 @@ int64_t repro_run_ckernel(
     double slot_t = facc[1];
     double gap_t = facc[2];
     int64_t busy = 0, packets = 0, wasted = 0, denials = 0;
-    int64_t n_del = 0, n_touch = 0;
+    int64_t n_del = 0, n_touch = 0, ff_slots = 0;
     int64_t rel_ptr = 0;
+    int64_t rec_pos = 0;
     int64_t s = start_slot;
     int64_t end = start_slot + n_slots;
 
     while (s < end) {
+        /* Idle fast-forward: the oracle skips a stationary idle plan up
+         * to the next release (or the run's end) in one span; each
+         * skipped slot repeats the idle slot's accounting exactly. */
+        int64_t target = s;
+        if (ff_enabled && p_nreq == 0 && p_ntx == 0 && p_nden == 0 &&
+            p_gap == 0.0 && p_master == prev_master) {
+            target = rel_ptr < n_rel ? rel_slot[rel_ptr] : end;
+            if (target > end) {
+                target = end;
+            }
+        }
+        int64_t skipped = target - s;
+        if (skipped > 0) {
+            for (int64_t j = 0; j < skipped; j++) {
+                wall += slot_length;
+                slot_t += slot_length;
+            }
+            master_count[p_master] += skipped;
+            hop_count[0] += skipped;
+            ff_slots += skipped;
+            if (ff_open < 0) {
+                ff_open = s;
+            }
+            s = target;
+        }
+        /* A span ends at a release or at the end of the engine's run();
+         * one carried in from the previous window may end right here. */
+        if (ff_open >= 0 && (s < end || final)) {
+            if (rec != NULL) {
+                if (rec_pos + REC_FAST_FORWARD_WORDS > rec_cap) {
+                    if (drain(rec_pos) != 0) {
+                        rc = -4;
+                        goto done;
+                    }
+                    rec_pos = 0;
+                }
+                int64_t *r = rec + rec_pos;
+                r[0] = REC_FAST_FORWARD;
+                r[REC_FAST_FORWARD_SLOT_START] = ff_open;
+                r[REC_FAST_FORWARD_SLOT_END] = s;
+                r[REC_FAST_FORWARD_N_SLOTS] = s - ff_open;
+                r[REC_FAST_FORWARD_MASTER] = p_master;
+                rec_pos += REC_FAST_FORWARD_WORDS;
+            }
+            ff_open = -1;
+        }
+        if (skipped > 0) {
+            continue;
+        }
+        /* This slot's event counters (released, delivered, missed). */
+        int64_t ev_rel = 0, ev_del = 0, ev_miss = 0, n_eff = 0;
+
         /* (a) traffic release: the precomputed schedule, in the oracle's
          * (slot, source index) polling order. */
         while (rel_ptr < n_rel && rel_slot[rel_ptr] <= s) {
@@ -216,11 +301,8 @@ int64_t repro_run_ckernel(
             m_status[row] = ST_PENDING;
             m_completed[row] = -1;
             if (hsz[node] >= heap_cap[node]) {
-                free(arena);
-                free(hoff);
-                free(okey);
-                free(cur_tx);
-                return -3;
+                rc = -3;
+                goto done;
             }
             Ent e = {deadline, id0 + rel_ptr, row};
             heap_push(arena + hoff[node], &hsz[node], e);
@@ -230,12 +312,12 @@ int64_t repro_run_ckernel(
                 touch_out[n_touch++] = ci;
             }
             rel_ptr++;
+            ev_rel++;
         }
 
         /* (b) drop-late: excluded from the closed world. */
 
         /* (c) execute the pending plan, in grant order. */
-        int64_t eff = 0;
         for (int64_t j = 0; j < p_ntx; j++) {
             int64_t row = cur_tx[j];
             if (m_status[row] == ST_DELIVERED) {
@@ -248,6 +330,10 @@ int64_t repro_run_ckernel(
                 m_status[row] = ST_DELIVERED;
                 m_completed[row] = s;
                 del_rows[n_del++] = row;
+                ev_del++;
+                if (s > m_deadline[row]) {
+                    ev_miss++;
+                }
                 int64_t ci = m_cid[row];
                 if (ci >= 0 && !touched[ci]) {
                     touched[ci] = 1;
@@ -256,11 +342,11 @@ int64_t repro_run_ckernel(
             } else {
                 m_status[row] = ST_IN_TRANSIT;
             }
-            eff++;
+            eff_rows[n_eff++] = row;
         }
-        if (eff) {
+        if (n_eff) {
             busy++;
-            packets += eff;
+            packets += n_eff;
         }
         denials += p_nden;
 
@@ -273,15 +359,14 @@ int64_t repro_run_ckernel(
         }
         slot_t += slot_length;
         master_count[p_master]++;
-        if (p_master == prev_master) {
-            hop_count[0]++;
-        } else {
-            int64_t hop = (p_master - prev_master) % n;
+        int64_t hop = 0;
+        if (p_master != prev_master) {
+            hop = (p_master - prev_master) % n;
             if (hop < 0) {
                 hop += n;
             }
-            hop_count[hop]++;
         }
+        hop_count[hop]++;
 
         /* (e) plan the next slot: EDF heads, mapped priorities, grant
          * sweep in (priority desc, node asc) order. */
@@ -370,6 +455,56 @@ int64_t repro_run_ckernel(
             q_gap = 0.0;
         }
 
+        /* (f) event records, in the oracle's per-slot order: the
+         * denial of the plan just made (for s + 1), the hand-over that
+         * preceded slot s, then slot s itself. */
+        if (rec != NULL) {
+            if (rec_pos + rec_slot_max > rec_cap) {
+                if (drain(rec_pos) != 0) {
+                    rc = -4;
+                    goto done;
+                }
+                rec_pos = 0;
+            }
+            int64_t *r = rec + rec_pos;
+            if (q_nden) {
+                r[0] = REC_ARBITRATION;
+                r[REC_ARBITRATION_SLOT] = s + 1;
+                r[REC_ARBITRATION_N_NODES] = q_nden;
+                int64_t *t = r + REC_ARBITRATION_WORDS;
+                for (int64_t j = 0; j < q_nden; j++) {
+                    t[j * REC_ARBITRATION_TAIL + REC_ARBITRATION_TAIL_NODE] =
+                        m_node[nxt_den[j]];
+                }
+                r = t + q_nden * REC_ARBITRATION_TAIL;
+            }
+            if (hop) {
+                r[0] = REC_HANDOVER;
+                r[REC_HANDOVER_SLOT] = s;
+                r[REC_HANDOVER_FROM_NODE] = prev_master;
+                r[REC_HANDOVER_TO_NODE] = p_master;
+                r[REC_HANDOVER_HOPS] = hop;
+                r[REC_HANDOVER_GAP_BITS] = double_bits(p_gap);
+                r += REC_HANDOVER_WORDS;
+            }
+            r[0] = REC_SLOT;
+            r[REC_SLOT_SLOT] = s;
+            r[REC_SLOT_MASTER] = p_master;
+            r[REC_SLOT_GAP_BITS] = double_bits(p_gap);
+            r[REC_SLOT_N_REQUESTS] = q_nreq;
+            r[REC_SLOT_RELEASED] = ev_rel;
+            r[REC_SLOT_DELIVERED] = ev_del;
+            r[REC_SLOT_MISSED] = ev_miss;
+            r[REC_SLOT_DROPPED] = 0; /* drop-late is outside the world */
+            r[REC_SLOT_N_TX] = n_eff;
+            int64_t *t = r + REC_SLOT_WORDS;
+            for (int64_t j = 0; j < n_eff; j++) {
+                t[j * REC_SLOT_TAIL + REC_SLOT_TAIL_NODE] = m_node[eff_rows[j]];
+                t[j * REC_SLOT_TAIL + REC_SLOT_TAIL_MSG_ID] = m_id[eff_rows[j]];
+            }
+            rec_pos = (t + n_eff * REC_SLOT_TAIL) - rec;
+        }
+
         /* (g) rotate the pipeline. */
         prev_master = p_master;
         p_master = q_master;
@@ -386,6 +521,11 @@ int64_t repro_run_ckernel(
         s++;
     }
 
+    if (rec != NULL && rec_pos > 0 && drain(rec_pos) != 0) {
+        rc = -4;
+        goto done;
+    }
+
     facc[0] = wall;
     facc[1] = slot_t;
     facc[2] = gap_t;
@@ -400,6 +540,8 @@ int64_t repro_run_ckernel(
     iacc[IA_NTOUCH] = n_touch;
     iacc[IA_NTX] = p_ntx;
     iacc[IA_NDEN] = p_nden;
+    iacc[IA_FF] = ff_slots;
+    iacc[IA_FF_OPEN] = ff_open;
     for (int64_t j = 0; j < p_ntx; j++) {
         out_tx_rows[j] = cur_tx[j];
     }
@@ -408,12 +550,10 @@ int64_t repro_run_ckernel(
     }
     *out_gap = p_gap;
 
-    /* cur_tx/cur_den may point into either half of the alloc; free the
-     * allocation base, recovered from whichever pointer is lower. */
+done:
     free(arena);
     free(hoff);
     free(okey);
-    free(cur_tx < nxt_tx ? cur_tx : nxt_tx);
-    (void)n_rows;
-    return 0;
+    free(plan_rows);
+    return rc;
 }

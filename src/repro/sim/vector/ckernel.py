@@ -18,9 +18,27 @@ semantics the C loop replicates *bit-identically*:
 * the laxity mapping is exactly ``LogarithmicMapping`` or
   ``LinearMapping`` (closed-form priorities, same libm ``log2`` the
   interpreter calls);
-* no observer, no profiler, no drop-late policy, no active fault
-  window (the engine has already excluded faults, loss and tracing);
+* no drop-late policy and no active fault window (the engine has
+  already excluded faults, loss, packet tracing and slot traces);
 * the ring fits the kernel's 64-bit link masks.
+
+Event sinks and profilers stay in the closed world.  An observed run
+hands the kernel a bounded ``int64`` buffer: the kernel writes the
+oracle's event stream into it as fixed-layout records
+(:mod:`repro.obs.records`) and calls a ctypes drain callback, which
+passes them to :meth:`EventDispatcher.dispatch_records`, each time it
+fills -- the loop then continues in the same call, so the release
+schedule and the reserved message-id block stay valid.  An exception
+raised by a sink is caught in the callback (ctypes would otherwise
+print and swallow it), aborts the kernel, and is re-raised from
+:func:`try_run`.  The kernel reports its fast-forwarded idle slots to an
+attached profiler.
+
+A long run executes as consecutive windows of about
+:data:`WINDOW_RELEASES` releases, one kernel call each, so the message
+table (one row per release) stays bounded however long the run.  An
+idle span that crosses a window boundary is carried into the next call
+and logged once, as the oracle logs it.
 
 Bit-identity is preserved by construction: wall/slot/gap times advance
 by the oracle's exact double additions in the oracle's order, message
@@ -40,9 +58,10 @@ import os
 import shutil
 import subprocess
 import tempfile
+from collections.abc import Callable
 from heapq import heapify
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -51,6 +70,7 @@ from repro.core.mapping import LinearMapping, LogarithmicMapping
 from repro.core.messages import Message, MessageStatus
 from repro.core.priorities import TrafficClass, class_priority_range
 from repro.core.protocol import PlannedTransmission, SlotPlan
+from repro.obs.records import EVENT_RECORDS
 from repro.obs.registry import Histogram
 from repro.sim.metrics import ConnectionStats
 from repro.traffic.periodic import ConnectionSource
@@ -58,29 +78,46 @@ from repro.traffic.periodic import ConnectionSource
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulation
 
-#: Refuse schedules beyond this many releases in one call (memory guard;
-#: the pure-Python kernel chunks its schedule instead).
-_MAX_RELEASES = 4_000_000
+#: Releases per kernel call, roughly: a long run executes as consecutive
+#: windows of about this many releases, so the message table (one row
+#: per release) and its fold-back stay bounded however long the run.
+WINDOW_RELEASES = 1 << 13
+
+#: Shortest window in slots (keeps per-call entry cost amortised on
+#: rings with very fast sources).
+_MIN_WINDOW_SLOTS = 1024
 
 #: Ring width limit: link masks are 64-bit in the C kernel.
 _MAX_NODES = 62
 
+#: Event-record buffer size in ``int64`` words (raised to one slot's
+#: worst case on wide rings).  Bounded: a full buffer is drained, not
+#: grown, so an observed run's memory does not scale with its length.
+RECORD_BUFFER_WORDS = 1 << 14
+
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _U64 = ctypes.POINTER(ctypes.c_uint64)
 _F64 = ctypes.POINTER(ctypes.c_double)
+#: ``int64_t drain(int64_t n_words)``: nonzero aborts the kernel.
+_DRAIN = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int64)
+_NO_DRAIN = _DRAIN()  # NULL: the run is unobserved
 
 _UNSET = object()
 _fn: object = _UNSET
 
 
-def _build_library() -> object | None:
-    """Compile ``_ckernel.c`` (once per source hash) and bind the entry."""
+def _build_library() -> Callable[..., int] | None:
+    """Compile ``_ckernel.c`` (once per source and record-layout hash)
+    and bind the entry."""
     src = Path(__file__).with_name("_ckernel.c")
     try:
         code = src.read_bytes()
     except OSError:
         return None
-    digest = hashlib.sha256(code).hexdigest()[:16]
+    defines = [f"-D{d}" for d in EVENT_RECORDS.c_defines()]
+    digest = hashlib.sha256(
+        code + "\n".join(defines).encode()
+    ).hexdigest()[:16]
     cache_dir = os.environ.get("REPRO_CKERNEL_CACHE")
     if cache_dir:
         cache = Path(cache_dir)
@@ -101,7 +138,8 @@ def _build_library() -> object | None:
             # additions must stay IEEE-754 exact and unreassociated to
             # match the interpreter bit for bit.
             subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(src), "-lm"],
+                [cc, "-O2", "-fPIC", "-shared", *defines, "-o", str(tmp),
+                 str(src), "-lm"],
                 check=True,
                 capture_output=True,
                 timeout=300,
@@ -160,6 +198,12 @@ def _build_library() -> object | None:
         _I64,  # p_den_rows
         ctypes.c_int64,  # prev_master
         _I64,  # heap_cap
+        ctypes.c_int64,  # ff_enabled
+        ctypes.c_int64,  # ff_open
+        ctypes.c_int64,  # final
+        _I64,  # rec
+        ctypes.c_int64,  # rec_cap
+        _DRAIN,  # drain
         _F64,  # facc
         _I64,  # iacc
         _I64,  # master_count
@@ -173,7 +217,7 @@ def _build_library() -> object | None:
     return fn
 
 
-def _kernel_fn() -> object | None:
+def _kernel_fn() -> Callable[..., int] | None:
     """The compiled entry point, or ``None`` when unavailable."""
     global _fn
     if _fn is _UNSET:
@@ -199,34 +243,149 @@ def _p(a: np.ndarray) -> object:
     return a.ctypes.data_as(_I64)
 
 
+def _release_schedule(
+    sources: tuple[ConnectionSource, ...], s: int, end: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, source index) of every release in ``[s, end)``, sorted in
+    the oracle's polling order.  A function of its own so the
+    per-source temporaries are freed before the kernel runs."""
+    parts_t: list[np.ndarray] = []
+    parts_i: list[np.ndarray] = []
+    for idx, src in enumerate(sources):
+        conn = src.connection
+        wlo = s if s >= src.active_from else src.active_from
+        whi = end
+        until = src.active_until
+        if until is not None and until < whi:
+            whi = until
+        phase = conn.phase_slots
+        period = conn.period_slots
+        if wlo <= phase:
+            first = phase
+        else:
+            first = phase + -(-(wlo - phase) // period) * period
+        if first >= whi:
+            continue
+        ts = np.arange(first, whi, period, dtype=np.int64)
+        parts_t.append(ts)
+        parts_i.append(np.full(len(ts), idx, dtype=np.int64))
+    if not parts_t:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    t = np.concatenate(parts_t)
+    i_src = np.concatenate(parts_i)
+    order = np.lexsort((i_src, t))
+    return (
+        np.ascontiguousarray(t[order]),
+        np.ascontiguousarray(i_src[order]),
+    )
+
+
+class _RecordDrain:
+    """The bounded event-record buffer of one observed run and its ctypes
+    drain callback, which hands full buffers to the dispatcher."""
+
+    def __init__(self, dispatch: Callable[[list[int]], None], n: int) -> None:
+        self.cap = max(
+            RECORD_BUFFER_WORDS,
+            EVENT_RECORDS.max_words("arbitration", n)
+            + EVENT_RECORDS.words("handover")
+            + EVENT_RECORDS.max_words("slot", n),
+        )
+        rec = self.rec = np.empty(self.cap, dtype=np.int64)
+        self.ptr = _p(rec)
+        failure: list[BaseException] = []
+        self.failure = failure
+
+        def drain(n_words: int) -> int:
+            try:
+                dispatch(rec[:n_words].tolist())
+            except BaseException as exc:  # re-raised after the call
+                failure.append(exc)
+                return 1
+            return 0
+
+        self.callback = _DRAIN(drain)
+
+
 def try_run(sim: Simulation, n_slots: int) -> bool:
     """Run ``n_slots`` on the compiled kernel if eligible; else ``False``.
 
     Returns ``True`` only after the simulation has been advanced (state,
-    metrics, registry and pending plan identical to the oracle).  All
-    eligibility checks happen *before* any mutation, so ``False`` always
-    leaves the simulation untouched for the Python kernel.
+    metrics, registry, pending plan and emitted events identical to the
+    oracle).  All eligibility checks happen *before* any mutation, so
+    ``False`` always leaves the simulation untouched for the Python
+    kernel.
     """
     fn = _kernel_fn()
     if fn is None or n_slots <= 0:
         return False
-    if sim.observer is not None or sim.profiler is not None:
-        return False
     if sim.drop_late:
         return False
-    metrics = sim.metrics
-    if metrics.fault_window_active:
+    if sim.metrics.fault_window_active:
         return False
     mapping = sim.protocol.mapping
-    log_map = type(mapping) is LogarithmicMapping
-    if not log_map and type(mapping) is not LinearMapping:
+    if type(mapping) not in (LogarithmicMapping, LinearMapping):
         return False
     n = sim.topology.n_nodes
     if n > _MAX_NODES:
         return False
-    sources = sim.sources
-    if not all(type(src) is ConnectionSource for src in sources):
+    if not all(type(src) is ConnectionSource for src in sim.sources):
         return False
+    sources = cast("tuple[ConnectionSource, ...]", sim.sources)
+
+    observer = sim.observer
+    records = (
+        _RecordDrain(observer.dispatch_records, n)
+        if observer is not None and observer.wants_slot_events
+        else None
+    )
+    rate = sum(1.0 / src.connection.period_slots for src in sources)
+    window = n_slots
+    if rate:
+        window = max(_MIN_WINDOW_SLOTS, int(WINDOW_RELEASES / rate))
+    start = sim.current_slot
+    end = start + n_slots
+    ff_open = -1
+    forwarded = 0
+    while sim.current_slot < end:
+        k = min(window, end - sim.current_slot)
+        final = sim.current_slot + k == end
+        out = _run_window(sim, fn, sources, k, records, ff_open, final)
+        if out is None:
+            if sim.current_slot != start:
+                # Only the first window may decline: the kernel hands
+                # back closed-world state by construction.
+                raise RuntimeError("compiled slot kernel left its closed world")
+            return False
+        ff_open, ff_k = out
+        forwarded += ff_k
+    if forwarded and sim.profiler is not None:
+        sim.profiler.count("fast_forwarded_slots", forwarded)
+    return True
+
+
+def _run_window(
+    sim: Simulation,
+    fn: Callable[..., int],
+    sources: tuple[ConnectionSource, ...],
+    n_slots: int,
+    records: _RecordDrain | None,
+    ff_open: int,
+    final: bool,
+) -> tuple[int, int] | None:
+    """One kernel call over the next ``n_slots`` slots.
+
+    ``ff_open`` is the first slot of an idle span the previous window
+    ended inside (``-1`` for none); the span's record is written once it
+    ends, so a window boundary never splits it, and ``final`` closes any
+    span still open at the end.  Returns ``(ff_open, fast-forwarded
+    slots)`` after advancing the simulation, or ``None`` -- with the
+    simulation untouched -- when its state is outside the closed world.
+    """
+    n = sim.topology.n_nodes
+    metrics = sim.metrics
+    mapping = sim.protocol.mapping
+    log_map = type(mapping) is LogarithmicMapping
 
     RT = TrafficClass.RT_CONNECTION
     DELIVERED = MessageStatus.DELIVERED
@@ -246,14 +405,14 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
             for entry in heap:
                 st = entry[2].status
                 if st is PENDING or st is IN_TRANSIT:
-                    return False
+                    return None
         for entry in q._rt:
             msg = entry[2]
             st = msg.status
             if st is DELIVERED or st is DROPPED:
                 continue
             if msg.traffic_class is not RT or msg.deadline_slot is None:
-                return False
+                return None
             row_of[id(msg)] = len(pre_objs)
             pre_objs.append(msg)
 
@@ -262,51 +421,21 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
     for tx in plan.transmissions:
         row = row_of.get(id(tx.message))
         if row is None:
-            return False
+            return None
         plan_tx_rows.append(row)
     plan_den_rows: list[int] = []
     for tx in plan.denied_by_break:
         row = row_of.get(id(tx.message))
         if row is None:
-            return False
+            return None
         plan_den_rows.append(row)
 
     # --- release schedule over [s, end), oracle polling order ----------
     s = sim.current_slot
     end = s + n_slots
     conns = [src.connection for src in sources]
-    parts_t: list[np.ndarray] = []
-    parts_i: list[np.ndarray] = []
-    for idx, src in enumerate(sources):
-        conn = conns[idx]
-        wlo = s if s >= src.active_from else src.active_from
-        whi = end
-        until = src.active_until
-        if until is not None and until < whi:
-            whi = until
-        phase = conn.phase_slots
-        period = conn.period_slots
-        if wlo <= phase:
-            first = phase
-        else:
-            first = phase + -(-(wlo - phase) // period) * period
-        if first >= whi:
-            continue
-        ts = np.arange(first, whi, period, dtype=np.int64)
-        parts_t.append(ts)
-        parts_i.append(np.full(len(ts), idx, dtype=np.int64))
-    if parts_t:
-        t = np.concatenate(parts_t)
-        i_src = np.concatenate(parts_i)
-        order = np.lexsort((i_src, t))
-        rel_slot = np.ascontiguousarray(t[order])
-        rel_conn = np.ascontiguousarray(i_src[order])
-    else:
-        rel_slot = np.empty(0, dtype=np.int64)
-        rel_conn = np.empty(0, dtype=np.int64)
+    rel_slot, rel_conn = _release_schedule(sources, s, end)
     n_rel = len(rel_slot)
-    if n_rel > _MAX_RELEASES:
-        return False
 
     # --- constants -----------------------------------------------------
     rt_lo, rt_hi = class_priority_range(RT)
@@ -393,7 +522,7 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         [report.wall_time_s, report.slot_time_s, report.gap_time_s],
         dtype=np.float64,
     )
-    iacc = np.zeros(11, dtype=np.int64)
+    iacc = np.zeros(13, dtype=np.int64)
     master_count = np.zeros(n, dtype=np.int64)
     hop_count = np.zeros(n, dtype=np.int64)
     del_rows = np.empty(max(1, n_rows), dtype=np.int64)
@@ -454,6 +583,12 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         _p(plan_den_a),
         sim._prev_master,
         _p(heap_cap),
+        1 if sim.fast_forward else 0,
+        ff_open,
+        1 if final else 0,
+        records.ptr if records is not None else None,
+        records.cap if records is not None else 0,
+        records.callback if records is not None else _NO_DRAIN,
         _p(facc),
         _p(iacc),
         _p(master_count),
@@ -464,6 +599,8 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         _p(out_den_rows),
         _p(out_gap),
     )
+    if records is not None and records.failure:
+        raise records.failure[0]
     if ret != 0:
         raise RuntimeError(f"compiled slot kernel failed (code {ret})")
 
@@ -643,4 +780,4 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         denied_by_break=tuple(denied),
         n_requests=int(iacc[6]),
     )
-    return True
+    return int(iacc[12]), int(iacc[11])

@@ -1,11 +1,19 @@
 """Opt-in vectorized engine with automatic oracle fallback.
 
 :class:`VectorSimulation` is a drop-in :class:`~repro.sim.engine.Simulation`
-whose :meth:`run` dispatches to the struct-of-arrays kernel
-(:mod:`repro.sim.vector.kernel`) whenever the configuration is one the
-kernel replicates bit-for-bit, and otherwise falls back to the inherited
-pure-Python slot loop -- the reference oracle.  ``step()`` is always the
-oracle: single-slot stepping has nothing to batch.
+whose :meth:`run` dispatches to a vector kernel whenever the
+configuration is one the kernels replicate bit-for-bit, and otherwise
+falls back to the inherited pure-Python slot loop -- the reference
+oracle.  ``step()`` is always the oracle: single-slot stepping has
+nothing to batch.
+
+Two kernel tiers share the work.  The compiled C micro-kernel
+(:mod:`repro.sim.vector.ckernel`) claims closed-world runs -- event
+sinks and profilers included: it streams the event log as records and
+reports its fast-forwarded slots.  The numpy struct-of-arrays kernel
+(:mod:`repro.sim.vector.kernel`) takes what the C tier declines:
+drop-late, best-effort/non-real-time backlog, traffic sources other
+than ``ConnectionSource`` and unknown laxity mappings.
 
 The fallback decision is recorded in :attr:`vector_fallback_reason` so
 callers (and the differential harness) can assert which core actually
@@ -92,10 +100,7 @@ class VectorSimulation(Simulation):
         profiler = self.profiler
         if profiler is not None:
             t_phase = profiler.clock()
-            run_kernel(self, n_slots)
-            profiler.lap("kernel", t_phase)
-            self.vector_backend = "python"
-        elif _try_compiled(self, n_slots):
+        if _try_compiled(self, n_slots):
             # Closed-world configurations run on the compiled micro-
             # kernel; anything it cannot replicate bit-for-bit lands on
             # the pure-Python SoA kernel below.
@@ -103,5 +108,7 @@ class VectorSimulation(Simulation):
         else:
             run_kernel(self, n_slots)
             self.vector_backend = "python"
+        if profiler is not None:
+            profiler.lap("kernel", t_phase)
         self.vector_slots += n_slots
         return self.report

@@ -123,6 +123,22 @@ class TestDemandBound:
         dbf = demand_bound_function([c], 5, deadlines={c.connection_id: 5})
         assert dbf == 3
 
+    def test_connection_deadline_is_the_default(self):
+        # D < P on the connection itself: demand is due at D, not P.
+        c = LogicalRealTimeConnection(
+            source=0, destinations=frozenset([1]), period_slots=10,
+            size_slots=3, deadline_slots=5,
+        )
+        assert demand_bound_function([c], 5) == 3
+        assert demand_bound_function([c], 15) == 6
+
+    def test_override_beats_connection_deadline(self):
+        c = LogicalRealTimeConnection(
+            source=0, destinations=frozenset([1]), period_slots=10,
+            size_slots=3, deadline_slots=5,
+        )
+        assert demand_bound_function([c], 5, deadlines={c.connection_id: 8}) == 0
+
     def test_deadline_shorter_than_size_rejected(self):
         c = conn(10, 3)
         with pytest.raises(ValueError, match="shorter than"):
@@ -151,6 +167,23 @@ class TestProcessorDemandTest:
         # into a 5-slot window is impossible.
         deadlines = {c1.connection_id: 5, c2.connection_id: 5}
         assert not processor_demand_test([c1, c2], deadlines=deadlines)
+
+    def test_connection_deadlines_honoured_without_override(self):
+        """Regression: two same-source connections with e=3, P=10, D=3
+        (U = 0.6) must be infeasible -- 6 slots of work are due within 3
+        slots of a joint release.  The test once ignored
+        ``deadline_slots`` unless ``deadlines=`` was passed."""
+        conns = [
+            LogicalRealTimeConnection(
+                source=0, destinations=frozenset([1]), period_slots=10,
+                size_slots=3, deadline_slots=3,
+            )
+            for _ in range(2)
+        ]
+        assert demand_bound_function(conns, 3) == 6
+        assert not processor_demand_test(conns)
+        relaxed = {c.connection_id: 10 for c in conns}
+        assert processor_demand_test(conns, deadlines=relaxed)
 
     def test_reduced_supply(self):
         assert processor_demand_test([conn(10, 4)], supply_slots_per_slot=0.5)

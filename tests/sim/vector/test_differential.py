@@ -10,11 +10,15 @@ state the kernel hands back is proven to *continue* identically, not
 just to summarise identically.
 
 The suite covers both vector backends: closed-world scenarios land on
-the compiled C micro-kernel, while scenarios with features the C tier
-declines (drop-late, event observers) land on the numpy SoA kernel, and
-a dedicated test forces the SoA kernel onto the closed-world scenarios
-too.  Fault injection forces the oracle fallback, and the test asserts
-the recorded reason.
+the compiled C micro-kernel -- with event sinks and profilers attached
+too -- while scenarios with features the C tier declines (drop-late,
+a live best-effort or non-real-time backlog) land on the numpy SoA
+kernel, and a dedicated test forces the SoA kernel onto the
+closed-world scenarios too.  Observed runs compare the event logs byte
+for byte against the oracle's, across fast-forward settings, run
+splits, record-buffer refills and sink kinds.  Fault
+injection forces the oracle fallback, and the test asserts the recorded
+reason.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import pytest
 import repro.core.messages as _messages
 from repro.core.connection import LogicalRealTimeConnection
 from repro.core.mapping import LinearMapping
+from repro.core.messages import Message
+from repro.core.priorities import TrafficClass
 from repro.obs.registry import MetricRegistry
 from repro.sim.fault_models import FaultConfig
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
@@ -333,27 +339,249 @@ def test_compiled_backend_claims_closed_world():
     assert sim.vector_backend == "compiled"
 
 
-def test_event_stream_is_byte_identical(tmp_path):
+def _requires_compiled_tier():
+    if ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+
+
+@pytest.mark.parametrize(
+    "traffic_class, deadline",
+    [(TrafficClass.BEST_EFFORT, 400), (TrafficClass.NON_REAL_TIME, None)],
+    ids=["best_effort", "non_real_time"],
+)
+def test_live_backlog_declines_the_compiled_tier(traffic_class, deadline):
+    """A live best-effort or non-real-time message is outside the C
+    tier's closed world: the first kernel window declines, the run lands
+    on the SoA kernel and still matches the oracle."""
+    base = _simple(_loaded_config(8, 0.5))
+
+    def make_sim(engine):
+        sim = base(engine)
+        sim.queues[2].enqueue(
+            Message(2, frozenset({6}), traffic_class, 3, 0, deadline)
+        )
+        return sim
+
+    vec_sim = assert_engines_match(make_sim)
+    assert vec_sim.vector_fallback_reason is None
+    assert vec_sim.vector_backend == "python"
+
+
+def _two_sparse_connections():
+    # Both release at slot 0 and are delivered within a few slots, so
+    # the ring idles (and fast-forwards) from then until slot 97.
+    return ScenarioConfig(
+        n_nodes=8,
+        connections=(
+            LogicalRealTimeConnection(
+                source=0, destinations=frozenset({3}), period_slots=97,
+                size_slots=2, connection_id=400,
+            ),
+            LogicalRealTimeConnection(
+                source=5, destinations=frozenset({1, 2}), period_slots=150,
+                size_slots=1, connection_id=401,
+            ),
+        ),
+    )
+
+
+def _overloaded():
+    # U = 2.4: every slot contends, grants several messages at once,
+    # denies at the break and delivers late (non-zero ``missed``).
+    return ScenarioConfig(
+        n_nodes=8,
+        connections=tuple(
+            LogicalRealTimeConnection(
+                source=i, destinations=frozenset({(i + 4) % 8}),
+                period_slots=10, size_slots=3, connection_id=300 + i,
+            )
+            for i in range(8)
+        ),
+    )
+
+
+def _deadline_boundary():
+    # U = 1: each 10-slot message is delivered exactly at its deadline
+    # slot -- met, not missed.
+    return ScenarioConfig(
+        n_nodes=8,
+        connections=(
+            LogicalRealTimeConnection(
+                source=0, destinations=frozenset({1}), period_slots=10,
+                size_slots=10, connection_id=500,
+            ),
+        ),
+    )
+
+
+#: Shrinks the compiled kernel's windows to a few slots, so window
+#: boundaries fall inside idle spans and busy stretches alike.
+_TINY_WINDOWS = {"WINDOW_RELEASES": 1, "_MIN_WINDOW_SLOTS": 1}
+
+#: name -> (config factory, RunOptions extras, run chunks, ``ckernel``
+#: overrides, expected vector backend)
+EVENT_CASES = {
+    "loaded": (lambda: _loaded_config(8, 0.7), {}, (1500,), {}, "compiled"),
+    "no_fast_forward": (lambda: _loaded_config(8, 0.3),
+                        {"fast_forward": False}, (1500,), {}, "compiled"),
+    "split_inside_idle_span": (_two_sparse_connections, {},
+                               (50, 700, 1, 249), {}, "compiled"),
+    "buffer_refills": (lambda: _loaded_config(8, 0.8), {}, (8000,), {},
+                       "compiled"),
+    "tiny_buffer": (lambda: _loaded_config(8, 0.3), {}, (3000,),
+                    {"RECORD_BUFFER_WORDS": 1}, "compiled"),
+    "tiny_windows_sparse": (_two_sparse_connections, {}, (700, 1300),
+                            _TINY_WINDOWS, "compiled"),
+    "tiny_windows_loaded": (lambda: _loaded_config(8, 0.3), {}, (1500,),
+                            _TINY_WINDOWS, "compiled"),
+    "overloaded": (_overloaded, {}, (1500,), {}, "compiled"),
+    "deadline_boundary": (_deadline_boundary, {}, (500,), {}, "compiled"),
+    "drop_late_soa": (lambda: _loaded_config(8, 0.9, drop_late=True), {},
+                      (1500,), {}, "python"),
+}
+
+
+def _observed_run(engine, config, sink, chunks, **options):
+    """Run ``config`` on ``engine`` with ``sink`` attached."""
+    from repro.obs.events import EventDispatcher
+
+    observer = EventDispatcher()
+    observer.add_sink(sink)
+    with fresh_message_ids():
+        sim = build_simulation(
+            config, RunOptions(engine=engine, observer=observer, **options)
+        )
+        for n in chunks:
+            sim.run(n)
+    observer.close()
+    return sim
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_CASES))
+def test_event_stream_is_byte_identical(name, tmp_path, monkeypatch):
     """The vector engine's ``--events`` JSONL equals the oracle's, byte
-    for byte (observer-attached runs ride the SoA kernel)."""
+    for byte; closed-world runs stay on the compiled tier."""
     from repro.obs.events import EventDispatcher, JsonlEventLog
 
-    config = _loaded_config(8, 0.7)
+    make_config, options, chunks, overrides, backend = EVENT_CASES[name]
+    if backend == "compiled" and ckernel._kernel_fn() is None:
+        # Without a C toolchain the SoA kernel must match byte for byte.
+        backend = "python"
+    for attr, value in overrides.items():
+        monkeypatch.setattr(ckernel, attr, value)
+    drains = []
+    dispatch = EventDispatcher.dispatch_records
+    monkeypatch.setattr(
+        EventDispatcher,
+        "dispatch_records",
+        lambda self, words: (drains.append(len(words)), dispatch(self, words)),
+    )
+    config = make_config()
     logs = {}
     for engine in ("python", "vector"):
         path = tmp_path / f"{engine}.jsonl"
-        observer = EventDispatcher()
-        observer.add_sink(JsonlEventLog(path))
-        with fresh_message_ids():
-            sim = build_simulation(
-                config, RunOptions(engine=engine, observer=observer)
-            )
-            sim.run(1500)
-        observer.close()
+        sim = _observed_run(
+            engine, config, JsonlEventLog(path), chunks, **options
+        )
         logs[engine] = path.read_bytes()
-        if engine == "vector":
-            assert sim.vector_fallback_reason is None
+    assert sim.vector_fallback_reason is None
+    assert sim.vector_backend == backend
     assert logs["vector"] == logs["python"]
+
+    if name == "buffer_refills" and backend == "compiled":
+        assert len(drains) >= 4, drains
+    if name == "tiny_buffer" and backend == "compiled":
+        assert len(drains) > 1000
+    if name == "no_fast_forward":
+        assert b'"fast_forward"' not in logs["python"]
+    if name == "split_inside_idle_span":
+        # The run boundary at slot 50 cuts an idle span in two.
+        assert b'"slot_end":50,' in logs["python"]
+        assert b'"slot_start":50,' in logs["python"]
+    if name == "deadline_boundary":
+        assert b'"delivered"' in logs["python"]
+        assert b'"missed"' not in logs["python"]
+    if name == "overloaded":
+        assert b'"missed"' in logs["python"]
+        assert b'"arbitration"' in logs["python"]
+
+
+def test_ring_sink_receives_the_oracle_events():
+    """A non-JSONL sink on the compiled tier gets typed events decoded
+    from the records; their lines equal the oracle's."""
+    from repro.obs.events import BoundedEventRing
+
+    _requires_compiled_tier()
+    config = _loaded_config(8, 0.5)
+    lines = {}
+    for engine in ("python", "vector"):
+        ring = BoundedEventRing(max_events=100_000)
+        sim = _observed_run(engine, config, ring, (700, 800))
+        assert ring.dropped == 0
+        lines[engine] = [event.to_json() for event in ring.events]
+    assert sim.vector_backend == "compiled"
+    assert any('"fast_forward"' in line for line in lines["python"])
+    assert lines["vector"] == lines["python"]
+
+
+def test_raising_sink_propagates_from_the_compiled_tier(monkeypatch):
+    """A sink exception inside the drain callback reaches the caller
+    (ctypes would otherwise print and swallow it)."""
+    from repro.obs.events import EventSink, SlotExecuted
+    from repro.sim.vector import engine as vector_engine
+
+    class Boom(Exception):
+        pass
+
+    class RaisingSink(EventSink):
+        def emit(self, event):
+            if type(event) is SlotExecuted and event.slot >= 100:
+                raise Boom(event.slot)
+
+    _requires_compiled_tier()
+
+    def no_soa(sim, n_slots):
+        raise AssertionError("the SoA kernel must not run here")
+
+    monkeypatch.setattr(vector_engine, "run_kernel", no_soa)
+    config = _loaded_config(8, 0.7)
+    for engine in ("python", "vector"):
+        with pytest.raises(Boom) as info:
+            _observed_run(engine, config, RaisingSink(), (1000,))
+        assert info.value.args == (100,)
+
+
+@pytest.mark.parametrize("name", ["loaded_n8", "idle_sparse"])
+def test_profiled_run_stays_compiled(name, monkeypatch):
+    """``--profile`` keeps a closed-world run on the compiled tier, and
+    its ``fast_forwarded_slots`` equals the oracle's and the SoA
+    kernel's count."""
+    from repro.sim.profiling import PhaseProfiler
+
+    _requires_compiled_tier()
+    make_sim, _ = SCENARIOS[name]()
+
+    def profiled(engine):
+        profiler = PhaseProfiler()
+        with fresh_message_ids():
+            sim = make_sim(engine)
+            sim.profiler = profiler
+            sim.run(3000)
+        return sim, profiler
+
+    oracle, oracle_prof = profiled("python")
+    vec, vec_prof = profiled("vector")
+    assert vec.vector_backend == "compiled"
+    assert vec_prof.calls["kernel"] == 1
+    monkeypatch.setattr(ckernel, "_fn", None)
+    soa, soa_prof = profiled("vector")
+    assert soa.vector_backend == "python"
+    forwarded = oracle_prof.counters["fast_forwarded_slots"]
+    assert vec_prof.counters["fast_forwarded_slots"] == forwarded
+    assert soa_prof.counters["fast_forwarded_slots"] == forwarded
+    if name == "idle_sparse":
+        assert forwarded > 0
+    assert vec.report == oracle.report == soa.report
 
 
 def test_arbitration_order_priority_then_node():

@@ -4,14 +4,19 @@ Hypothesis draws whole scenarios -- ring size, utilisation, workload
 shape, multicast mix, mapping, drop-late, run length -- and each drawn
 scenario runs on both engines.  The final reports must be **equal** (the
 dataclass ``==``, not a tolerance) and the merged metric registries must
-agree counter for counter and bucket for bucket.  This is the randomised
-arm of the differential harness in ``test_differential.py``: that file
-pins the known-interesting corners, this one searches for new ones.
+agree counter for counter and bucket for bucket.  An events arm runs the
+same drawn scenarios with a JSONL sink, split into several ``run()``
+calls, with and without idle fast-forward, and requires byte-identical
+logs.  This is the randomised arm of the differential harness in
+``test_differential.py``: that file pins the known-interesting corners,
+this one searches for new ones.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -87,6 +92,51 @@ def test_random_scenarios_match(case):
     labels = ("report", "registry", "plan", "slot", "prev_master", "queues")
     for label, expected, actual in zip(labels, py_snap, vec_snap):
         assert actual == expected, f"{label} diverged from the oracle"
+
+
+@given(
+    case=scenarios(),
+    fast_forward=st.booleans(),
+    n_chunks=st.integers(min_value=1, max_value=3),
+)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_random_scenarios_event_logs_match(case, fast_forward, n_chunks):
+    """Observed runs: the vector engine's JSONL log equals the oracle's
+    byte for byte, and so do the reports."""
+    from repro.obs.events import EventDispatcher, JsonlEventLog
+
+    config, mapping, n_slots = case
+    chunks = [n_slots // n_chunks] * (n_chunks - 1)
+    chunks.append(n_slots - sum(chunks))
+    logs = {}
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for engine in ("python", "vector"):
+            path = Path(tmp) / f"{engine}.jsonl"
+            observer = EventDispatcher()
+            observer.add_sink(JsonlEventLog(path))
+            with fresh_message_ids():
+                sim = build_simulation(
+                    config,
+                    RunOptions(
+                        engine=engine,
+                        mapping=mapping,
+                        observer=observer,
+                        fast_forward=fast_forward,
+                    ),
+                )
+                for n in chunks:
+                    sim.run(n)
+            observer.close()
+            logs[engine] = path.read_bytes()
+            reports[engine] = sim.report
+    assert sim.vector_fallback_reason is None
+    assert reports["vector"] == reports["python"]
+    assert logs["vector"] == logs["python"]
 
 
 @given(
